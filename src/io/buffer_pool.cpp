@@ -222,6 +222,20 @@ BufferPool::PageGuard BufferPool::pin(FileId file, std::uint64_t page_no) {
   return PageGuard(this, s, idx);
 }
 
+BufferPool::PageGuard BufferPool::pin_resident(FileId file,
+                                               std::uint64_t page_no) {
+  const PageKey key{file, page_no};
+  const std::size_t s = shard_of(key);
+  Shard& sh = shards_[s];
+  std::lock_guard<std::mutex> lock(sh.mutex);
+  const auto it = sh.page_table.find(key);
+  if (it == sh.page_table.end() || frames_[it->second].io_busy) return {};
+  sh.stats.hits++;
+  frames_[it->second].pins++;
+  lru_touch(sh, it->second);
+  return PageGuard(this, s, it->second);
+}
+
 bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
   const PageKey key{file, page_no};
   Shard& sh = shards_[shard_of(key)];
@@ -273,13 +287,15 @@ std::vector<BufferPool::PrefetchTarget> BufferPool::claim_prefetch_targets(
         release_frame(idx);
         continue;
       }
+      // Tracked before the buffer is sized: if the resize throws, the
+      // unwind below must find this latched frame.
       install_loading_frame(sh, file, page_no, idx, /*pins=*/0);
       Frame& f = frames_[idx];
+      sh.stats.prefetches++;
+      targets.push_back(PrefetchTarget{page_no, s, idx});
       if (f.data.size() != config_.page_size) {
         f.data.resize(config_.page_size);  // can throw bad_alloc
       }
-      sh.stats.prefetches++;
-      targets.push_back(PrefetchTarget{page_no, s, idx});
     }
   } catch (...) {
     abort_prefetch_frames(file, targets);
@@ -609,7 +625,14 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       if (f.data.size() != config_.page_size) {
         f.data.resize(config_.page_size);  // zero-filled on first allocation
       }
-      got = backing_read(file, page_no * config_.page_size, f.data);
+      // A page wholly past the store's end has no bytes to read: a page
+      // holding unflushed data past EOF is dirty and therefore resident,
+      // and every write-back of this page finished before its table entry
+      // went away.  Zero-fill it without a backing call — every page of a
+      // freshly written file comes through here.
+      if (page_no * config_.page_size < store_.size(file)) {
+        got = backing_read(file, page_no * config_.page_size, f.data);
+      }
       if (got < config_.page_size) {
         // Only the stale tail needs zeroing; full-page loads skip the
         // page-sized memset the old code paid on every load.

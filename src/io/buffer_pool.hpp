@@ -182,6 +182,12 @@ class BufferPool {
   /// Pins page `page_no` of `file`, loading it on a miss.
   PageGuard pin(FileId file, std::uint64_t page_no);
 
+  /// Pins page `page_no` of `file` only if it is resident and not being
+  /// loaded or written back; otherwise returns an empty guard, loading and
+  /// counting nothing.  The warm half of a pin: callers that batch their
+  /// cold loads (ManagedFile, through prefetch_range) try this first.
+  PageGuard pin_resident(FileId file, std::uint64_t page_no);
+
   /// Loads a page into the cache without pinning it, if absent.
   /// Returns true if the page was actually loaded (i.e. it was cold).
   bool prefetch(FileId file, std::uint64_t page_no);
@@ -258,6 +264,9 @@ class BufferPool {
   [[nodiscard]] std::size_t page_size() const { return config_.page_size; }
   [[nodiscard]] std::size_t capacity_pages() const {
     return config_.capacity_pages;
+  }
+  [[nodiscard]] std::size_t coalesce_pages() const {
+    return config_.coalesce_pages;
   }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] std::size_t resident_pages() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "io/store_decorator.hpp"
 #include "util/error.hpp"
@@ -12,6 +13,47 @@ namespace clio::io {
 using util::check;
 using util::IoError;
 using util::Stopwatch;
+
+namespace {
+
+/// Walks bytes [pos, pos + len) of `file` page by page, calling
+/// `copy(guard, within, take, done)` with each page pinned: `within` is the
+/// offset in the page, `take` the bytes of the page in range and `done` the
+/// bytes walked before it.  A resident page is pinned directly.  At the
+/// first page that is not, the next coalesce_pages() pages of the range are
+/// handed to prefetch_range, so each cold run among them costs one gather
+/// and their pins hit; the chunk also bounds the frames one call claims.
+template <typename Copy>
+void for_each_page(BufferPool& pool, FileId file, std::uint64_t pos,
+                   std::size_t len, Copy&& copy) {
+  const std::size_t page_size = pool.page_size();
+  const std::uint64_t end_page = (pos + len + page_size - 1) / page_size;
+  std::uint64_t chunk_end = 0;  // pages below were offered to the pool
+  for (std::size_t done = 0; done < len;) {
+    const std::uint64_t page = (pos + done) / page_size;
+    BufferPool::PageGuard guard = pool.pin_resident(file, page);
+    if (guard.empty()) {
+      if (page >= chunk_end) {
+        // The call's own pages load synchronously, async_prefetch or not:
+        // the copy needs them now.  Pages past the store's end are
+        // skipped by the pool and zero-filled by the pin.
+        chunk_end = std::min<std::uint64_t>(end_page,
+                                            page + pool.coalesce_pages());
+        static_cast<void>(pool.prefetch_range(
+            file, page, static_cast<std::size_t>(chunk_end - page)));
+      }
+      // A hit, unless the chunk dropped this page under frame pressure or
+      // another thread evicted it since.
+      guard = pool.pin(file, page);
+    }
+    const auto within = static_cast<std::size_t>((pos + done) % page_size);
+    const std::size_t take = std::min(len - done, page_size - within);
+    copy(std::move(guard), within, take, done);
+    done += take;
+  }
+}
+
+}  // namespace
 
 ManagedFileSystem::ManagedFileSystem(std::unique_ptr<BackingStore> store,
                                      ManagedFsOptions options)
@@ -133,22 +175,25 @@ std::uint64_t ManagedFile::size() const {
   return fs_->pool_->logical_file_size(id_);
 }
 
-void ManagedFile::run_prefetch(std::uint64_t page, std::uint64_t file_size) {
+void ManagedFile::run_prefetch(std::uint64_t pos, std::size_t len,
+                               std::uint64_t file_size) {
+  const std::size_t page_size = fs_->pool_->page_size();
   // A file that fits in one page has nothing ahead to fetch: skip the
   // shared prefetcher outright.  The serving hot path reads small objects
   // at a high rate, and the prefetcher sits behind a global mutex.
-  if (file_size != kUnknownSize && file_size <= fs_->pool_->page_size()) {
-    return;
-  }
+  if (file_size != kUnknownSize && file_size <= page_size) return;
+  const std::uint64_t first = pos / page_size;
+  const std::uint64_t last = (pos + len - 1) / page_size;
   PrefetchRange ahead;
   {
     std::lock_guard<std::mutex> lock(fs_->prefetcher_mutex_);
-    ahead = fs_->prefetcher_.propose(id_, page);
+    ahead = fs_->prefetcher_.propose(
+        id_, first, static_cast<std::size_t>(last - first + 1));
   }
   if (ahead.empty()) return;
   if (file_size == kUnknownSize) file_size = size();
   if (file_size == 0) return;
-  const std::uint64_t last_page = (file_size - 1) / fs_->pool_->page_size();
+  const std::uint64_t last_page = (file_size - 1) / page_size;
   if (ahead.first > last_page) return;
   const std::size_t count = static_cast<std::size_t>(
       std::min<std::uint64_t>(ahead.count, last_page - ahead.first + 1));
@@ -160,24 +205,18 @@ void ManagedFile::run_prefetch(std::uint64_t page, std::uint64_t file_size) {
 std::size_t ManagedFile::read(std::span<std::byte> out) {
   check<IoError>(fs_ != nullptr, "ManagedFile: read on closed file");
   Stopwatch watch;
-  const std::size_t page_size = fs_->pool_->page_size();
   const std::uint64_t file_size = size();
   std::size_t total = 0;
   if (position_ < file_size && !out.empty()) {
-    const std::size_t want = static_cast<std::size_t>(
+    total = static_cast<std::size_t>(
         std::min<std::uint64_t>(out.size(), file_size - position_));
-    while (total < want) {
-      const std::uint64_t pos = position_ + total;
-      const std::uint64_t page = pos / page_size;
-      const std::size_t within = static_cast<std::size_t>(pos % page_size);
-      const std::size_t take = std::min(want - total, page_size - within);
-      {
-        auto guard = fs_->pool_->pin(id_, page);
-        std::memcpy(out.data() + total, guard.data().data() + within, take);
-      }
-      run_prefetch(page, file_size);
-      total += take;
-    }
+    for_each_page(*fs_->pool_, id_, position_, total,
+                  [&](BufferPool::PageGuard guard, std::size_t within,
+                      std::size_t take, std::size_t done) {
+                    std::memcpy(out.data() + done,
+                                guard.data().data() + within, take);
+                  });
+    run_prefetch(position_, total, file_size);
     position_ += total;
   }
   const double ms = watch.elapsed_ms();
@@ -194,25 +233,20 @@ void ManagedFile::read_exact(std::span<std::byte> out) {
 std::size_t ManagedFile::write(std::span<const std::byte> data) {
   check<IoError>(fs_ != nullptr, "ManagedFile: write on closed file");
   Stopwatch watch;
-  const std::size_t page_size = fs_->pool_->page_size();
-  std::size_t total = 0;
-  while (total < data.size()) {
-    const std::uint64_t pos = position_ + total;
-    const std::uint64_t page = pos / page_size;
-    const std::size_t within = static_cast<std::size_t>(pos % page_size);
-    const std::size_t take = std::min(data.size() - total, page_size - within);
-    {
-      auto guard = fs_->pool_->pin(id_, page);
-      std::memcpy(guard.data().data() + within, data.data() + total, take);
-      guard.mark_dirty(within + take);
-    }
-    run_prefetch(page);
-    total += take;
+  if (!data.empty()) {
+    for_each_page(*fs_->pool_, id_, position_, data.size(),
+                  [&](BufferPool::PageGuard guard, std::size_t within,
+                      std::size_t take, std::size_t done) {
+                    std::memcpy(guard.data().data() + within,
+                                data.data() + done, take);
+                    guard.mark_dirty(within + take);
+                  });
+    run_prefetch(position_, data.size());
+    position_ += data.size();
   }
-  position_ += total;
   const double ms = watch.elapsed_ms();
-  fs_->stats_.record(IoOp::kWrite, total, ms);
-  return total;
+  fs_->stats_.record(IoOp::kWrite, data.size(), ms);
+  return data.size();
 }
 
 void ManagedFile::seek(std::uint64_t pos) {
@@ -226,7 +260,7 @@ void ManagedFile::seek(std::uint64_t pos) {
     // Touching the target page is what makes a cold seek expensive and a
     // warm seek nearly free — the Table 3/4 effect.
     fs_->pool_->prefetch(id_, page);
-    run_prefetch(page);
+    run_prefetch(page * page_size, 1);
   }
   const double ms = watch.elapsed_ms();
   fs_->stats_.record(IoOp::kSeek, pos, ms);

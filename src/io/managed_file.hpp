@@ -148,7 +148,9 @@ class ManagedFile {
   /// Sentinel for "caller has not computed the file size".
   static constexpr std::uint64_t kUnknownSize = UINT64_MAX;
 
-  void run_prefetch(std::uint64_t page,
+  /// Reports the pages of a call's bytes [pos, pos + len), len > 0, to the
+  /// prefetcher once and loads the readahead it proposes beyond them.
+  void run_prefetch(std::uint64_t pos, std::size_t len,
                     std::uint64_t file_size = kUnknownSize);
 
   ManagedFileSystem* fs_ = nullptr;

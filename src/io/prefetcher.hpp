@@ -7,8 +7,7 @@
 
 namespace clio::io {
 
-/// Readahead policy knobs.  window = 0 disables prefetching entirely
-/// (the `ablation_prefetch` bench sweeps this).
+/// Readahead policy.  window = 0 disables readahead entirely.
 struct PrefetchConfig {
   std::size_t window = 4;      ///< pages fetched ahead once sequential
   std::size_t min_streak = 2;  ///< consecutive pages before kicking in
@@ -31,15 +30,22 @@ struct PrefetchRange {
 /// "At the time when a read, write, or seek operation is performed, a
 /// prefetch operation will be invoked accordingly."  The policy here is the
 /// classic streak detector: after `min_streak` consecutive pages, propose
-/// the next `window` pages.  Stateless about residency — the BufferPool
-/// skips pages that are already cached.
+/// the next `window` pages past the access.  ManagedFile reports each call
+/// once, as the whole run of pages it touched, so a multi-page call
+/// proposes one window beyond its end rather than one per page.
+/// Stateless about residency — the BufferPool skips pages that are already
+/// cached.
 class SequentialPrefetcher {
  public:
   explicit SequentialPrefetcher(PrefetchConfig config = {});
 
-  /// Records an access to (file, page) and returns the run of pages worth
-  /// prefetching (empty until the sequential streak is established).
-  PrefetchRange propose(FileId file, std::uint64_t page);
+  /// Records an access to pages [page, page + pages) of `file` and returns
+  /// the run worth prefetching after it (empty until the sequential streak
+  /// is established).  The result is the same as reporting each page in
+  /// order: a run that starts right after (or on) the previous access's
+  /// last page extends the streak by its length.
+  PrefetchRange propose(FileId file, std::uint64_t page,
+                        std::size_t pages = 1);
 
   /// Forgets per-file state (e.g. after close).
   void forget(FileId file);

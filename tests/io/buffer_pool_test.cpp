@@ -143,6 +143,25 @@ TEST_F(BufferPoolTest, MissThenHit) {
   EXPECT_EQ(pool_.stats().hits, 1u);
 }
 
+TEST_F(BufferPoolTest, PinResidentHitsWarmPagesAndNeverLoads) {
+  EXPECT_TRUE(pool_.pin_resident(file_, 0).empty());  // cold: nothing loads
+  EXPECT_EQ(pool_.resident_pages(), 0u);
+  EXPECT_EQ(pool_.stats().misses + pool_.stats().prefetches, 0u);
+  static_cast<void>(pool_.pin(file_, 0));
+  {
+    auto g = pool_.pin_resident(file_, 0);
+    ASSERT_FALSE(g.empty());
+    EXPECT_EQ(static_cast<char>(g.data()[0]), 'a');
+    EXPECT_EQ(pool_.stats().hits, 1u);
+    // A resident-pinned page is a real pin: eviction pressure skips it.
+    for (std::uint64_t p = 1; p < 8; ++p) {
+      static_cast<void>(pool_.pin(file_, p));
+    }
+    EXPECT_TRUE(pool_.contains(file_, 0));
+  }
+  pool_.debug_validate();
+}
+
 TEST_F(BufferPoolTest, ValidBytesReflectsFileContent) {
   auto g = pool_.pin(file_, 7);  // last full page
   EXPECT_EQ(g.valid_bytes(), 256u);

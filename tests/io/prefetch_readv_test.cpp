@@ -1,6 +1,6 @@
 // Coverage for the coalesced + asynchronous read path: BackingStore::readv
-// batching in prefetch_range, EOF clamping, failure unwinding, and the
-// background prefetch workers.  The concurrency cases double as TSan
+// batching in prefetch_range, EOF clamping, failure unwinding, the
+// background prefetch workers, and ManagedFile's per-call gathers.  The concurrency cases double as TSan
 // targets in CI.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "io/buffer_pool.hpp"
 #include "io/file_store.hpp"
+#include "io/managed_file.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/temp_dir.hpp"
@@ -207,6 +208,25 @@ TEST(PrefetchReadv, WindowEntirelyPastEofLoadsNothing) {
   EXPECT_EQ(pool.resident_pages(), 0u);
 }
 
+TEST(PrefetchReadv, PinPastEndOfStoreZeroFillsWithoutARead) {
+  CountingReadStore store;
+  const FileId file = make_file(store, 256, 2, 10);
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 8});
+  {
+    auto g = pool.pin(file, 5);
+    EXPECT_EQ(g.valid_bytes(), 0u);
+    for (const std::byte b : g.data()) ASSERT_EQ(b, std::byte{0});
+  }
+  EXPECT_EQ(store.read_calls, 0u);
+  {
+    auto tail = pool.pin(file, 2);  // the 10-byte tail page is read
+    EXPECT_EQ(tail.valid_bytes(), 10u);
+  }
+  EXPECT_EQ(store.read_calls, 1u);
+  pool.debug_validate();
+}
+
 // ------------------------------------------------------------ failures ----
 
 TEST(PrefetchReadv, FailedGatherLeavesNoHalfValidFramesResident) {
@@ -292,6 +312,155 @@ TEST(PrefetchReadv, ConcurrentPrefetchAndPinOfSameRangeStayCoherent) {
   stop.store(true);
   prefetcher.join();
   EXPECT_EQ(bad_bytes.load(), 0);
+}
+
+// ------------------------------------------------- ManagedFile gathers ----
+
+/// A ManagedFileSystem over a CountingReadStore; `store` stays readable
+/// through the raw pointer while the file system owns it.
+struct CountingFs {
+  explicit CountingFs(std::size_t pool_pages, std::size_t shards = 0) {
+    auto owned = std::make_unique<CountingReadStore>();
+    store = owned.get();
+    ManagedFsOptions options;
+    options.page_size = 256;
+    options.pool_pages = pool_pages;
+    options.pool_shards = shards;
+    fs = std::make_unique<ManagedFileSystem>(std::move(owned), options);
+  }
+  CountingReadStore* store = nullptr;
+  std::unique_ptr<ManagedFileSystem> fs;
+};
+
+std::string expected_pages(std::size_t first, std::size_t count) {
+  std::string out;
+  for (std::size_t p = first; p < first + count; ++p) {
+    out += std::string(256, char('a' + p % 26));
+  }
+  return out;
+}
+
+std::string read_string(ManagedFile& f, std::size_t n) {
+  std::string out(n, '\0');
+  const std::size_t got =
+      f.read(std::as_writable_bytes(std::span<char>(out.data(), n)));
+  out.resize(got);
+  return out;
+}
+
+TEST(ManagedFileGather, ColdReadLoadsOneGatherPerChunk) {
+  CountingFs cfs(/*pool_pages=*/256);
+  make_file(*cfs.store, 256, 150);
+  auto f = cfs.fs->open("data.bin", OpenMode::kRead);
+  EXPECT_EQ(read_string(f, 150 * 256), expected_pages(0, 150));
+  // ceil(150 / 64) gathers of coalesce_pages each, no single-page reads;
+  // the readahead past the call is clamped away at end-of-file.
+  const PoolStats stats = cfs.fs->pool().stats();
+  EXPECT_EQ(stats.gather_read_calls, 3u);
+  EXPECT_EQ(stats.gather_read_pages, 150u);
+  EXPECT_EQ(cfs.store->readv_calls, 3u);
+  EXPECT_EQ(cfs.store->read_calls, 0u);
+  EXPECT_EQ(stats.misses, 0u);  // every pin hit a gathered page
+  EXPECT_EQ(stats.hits, 150u);
+}
+
+TEST(ManagedFileGather, MixedResidencyGathersOnlyTheColdRuns) {
+  CountingFs cfs(/*pool_pages=*/64);
+  const FileId id = make_file(*cfs.store, 256, 32);
+  for (const std::uint64_t p : {5, 6, 7, 20}) {
+    EXPECT_TRUE(cfs.fs->pool().prefetch(id, p));  // one read() each
+  }
+  EXPECT_EQ(cfs.store->read_calls, 4u);
+  auto f = cfs.fs->open("data.bin", OpenMode::kRead);
+  EXPECT_EQ(read_string(f, 32 * 256), expected_pages(0, 32));
+  // Cold runs [0, 5), [8, 20) and [21, 32): one gather each.
+  const PoolStats stats = cfs.fs->pool().stats();
+  EXPECT_EQ(cfs.store->readv_calls, 3u);
+  EXPECT_EQ(cfs.store->read_calls, 4u);
+  EXPECT_EQ(stats.gather_read_calls, 3u);
+  EXPECT_EQ(stats.gather_read_pages, 28u);
+}
+
+TEST(ManagedFileGather, PoolSmallerThanAChunkStillRoundTrips) {
+  CountingFs cfs(/*pool_pages=*/4, /*shards=*/1);
+  const std::string content = expected_pages(0, 40);
+  {
+    auto f = cfs.fs->open("small.bin", OpenMode::kCreate);
+    EXPECT_NO_THROW(f.write(as_bytes(content)));
+  }
+  auto f = cfs.fs->open("small.bin", OpenMode::kReadWrite);
+  std::string got;
+  EXPECT_NO_THROW(got = read_string(f, content.size()));
+  EXPECT_EQ(got, content);
+  // Overwrite an unaligned span in the middle, then read it all again.
+  const std::string patch(9 * 256 + 17, 'Z');
+  f.seek(3 * 256 + 100);
+  EXPECT_NO_THROW(f.write(as_bytes(patch)));
+  std::string want = content;
+  want.replace(3 * 256 + 100, patch.size(), patch);
+  f.seek(0);
+  EXPECT_NO_THROW(got = read_string(f, want.size()));
+  EXPECT_EQ(got, want);
+  f.close();
+  cfs.fs->pool().debug_validate();
+}
+
+TEST(ManagedFileGather, OnePageReadsAcrossCallsKeepReadahead) {
+  CountingFs cfs(/*pool_pages=*/64);
+  const FileId id = make_file(*cfs.store, 256, 16);
+  auto f = cfs.fs->open("data.bin", OpenMode::kRead);
+  EXPECT_EQ(read_string(f, 256), expected_pages(0, 1));
+  EXPECT_FALSE(cfs.fs->pool().contains(id, 1));  // no streak yet
+  EXPECT_EQ(read_string(f, 256), expected_pages(1, 1));
+  // Two consecutive one-page calls make a streak: the default 4-page
+  // window beyond the second call is resident.
+  for (std::uint64_t p = 2; p < 6; ++p) {
+    EXPECT_TRUE(cfs.fs->pool().contains(id, p)) << p;
+  }
+  EXPECT_FALSE(cfs.fs->pool().contains(id, 6));
+  // The next call's page was read ahead: its own load makes no store call
+  // (the only new gather is the window sliding on to page 6).
+  const std::uint64_t gathers = cfs.store->readv_calls;
+  EXPECT_EQ(read_string(f, 256), expected_pages(2, 1));
+  EXPECT_EQ(cfs.store->readv_calls, gathers + 1);
+  EXPECT_TRUE(cfs.fs->pool().contains(id, 6));
+  EXPECT_EQ(cfs.fs->pool().stats().misses, 0u);
+}
+
+TEST(ManagedFileGather, MultiPageCallsAcrossCallsKeepReadahead) {
+  CountingFs cfs(/*pool_pages=*/64);
+  const FileId id = make_file(*cfs.store, 256, 32);
+  auto f = cfs.fs->open("data.bin", OpenMode::kRead);
+  // Chunked sequential reads, 3 pages a call: each call proposes one
+  // window beyond its own range.
+  EXPECT_EQ(read_string(f, 3 * 256), expected_pages(0, 3));
+  for (std::uint64_t p = 3; p < 7; ++p) {
+    EXPECT_TRUE(cfs.fs->pool().contains(id, p)) << p;
+  }
+  EXPECT_EQ(read_string(f, 3 * 256), expected_pages(3, 3));
+  for (std::uint64_t p = 6; p < 10; ++p) {
+    EXPECT_TRUE(cfs.fs->pool().contains(id, p)) << p;
+  }
+  EXPECT_FALSE(cfs.fs->pool().contains(id, 10));
+}
+
+TEST(ManagedFileGather, WritingANewFileMakesNoStoreReads) {
+  CountingFs cfs(/*pool_pages=*/64);
+  const std::string content = expected_pages(0, 20) + "tail";
+  {
+    auto f = cfs.fs->open("fresh.bin", OpenMode::kCreate);
+    // Unaligned pieces: page-straddling and partial-page writes alike.
+    for (std::size_t off = 0; off < content.size(); off += 1000) {
+      const std::size_t n = std::min<std::size_t>(1000, content.size() - off);
+      f.write(as_bytes(content.substr(off, n)));
+    }
+    // Every page lies past the store's end until the close flushes it,
+    // so none of them may cost a backing read.
+    EXPECT_EQ(cfs.store->read_calls + cfs.store->readv_calls, 0u);
+  }
+  cfs.fs->drop_caches();
+  auto f = cfs.fs->open("fresh.bin", OpenMode::kRead);
+  EXPECT_EQ(read_string(f, content.size() + 10), content);
 }
 
 // ------------------------------------------------------- async prefetch ----

@@ -73,6 +73,22 @@ TEST(Prefetcher, ResetClearsAllFiles) {
   EXPECT_TRUE(pf.propose(2, 1).empty());
 }
 
+TEST(Prefetcher, RunOfPagesCountsLikeEachPageInTurn) {
+  SequentialPrefetcher pf(PrefetchConfig{.window = 4, .min_streak = 2});
+  // One call over pages 10..19 is a streak of 10: the window follows the
+  // run's last page, once.
+  const PrefetchRange r = pf.propose(1, 10, 10);
+  EXPECT_EQ(r.first, 20u);
+  EXPECT_EQ(r.count, 4u);
+  // A run continuing from the last page (a call that starts mid-page)
+  // extends the streak; a run elsewhere restarts it with its own length.
+  EXPECT_EQ(pf.propose(1, 19, 3).first, 22u);
+  EXPECT_TRUE(pf.propose(1, 100, 1).empty());
+  EXPECT_EQ(pf.propose(1, 200, 2).first, 202u);
+  EXPECT_TRUE(pf.propose(1, 300, 0).empty());  // an empty run is no access
+  EXPECT_EQ(pf.propose(1, 202).first, 203u);   // ...and left the streak
+}
+
 // Property sweep: the proposal is always the contiguous run after the
 // accessed page, of exactly `window` length, once the streak is met.
 class PrefetchWindowProperty : public ::testing::TestWithParam<std::size_t> {};
